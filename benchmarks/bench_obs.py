@@ -31,7 +31,7 @@ QUICK_SPEC = Spec(
     negative=["1", "10", "1001", "101", "11"],
 )
 
-#: Full-scale workload (nightly): the sharding benchmark's wide spec —
+#: Full-scale workload (nightly): a wide multi-lane spec —
 #: ~1.1M candidates over 13 cost levels, long enough that per-level
 #: span bookkeeping would show up if it cost anything.
 WIDE_SPEC = Spec(

@@ -46,7 +46,7 @@ from .regex.parser import parse
 from .regex.printer import to_string
 from .spec import Spec
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "ServiceClient",

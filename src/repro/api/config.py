@@ -37,20 +37,12 @@ class EngineConfig:
     it); ``max_generated`` is the default candidate budget, overridable
     per request.
 
-    ``shard_workers`` turns on intra-query parallelism: with a value
-    ``>= 2`` the engine partitions each cost level's pair work across
-    that many shard worker processes (:mod:`repro.core.shard`),
-    bit-identically to the serial sweep; ``1`` (the default) is exactly
-    the serial code path.  In the service pool, a job whose config
-    shards claims that many scheduler slots (see
-    :meth:`repro.service.pool.WorkerPool.plan_assignments`).
-
     ``trace`` turns on end-to-end span recording (:mod:`repro.obs`):
     every layer that touches the request — staging, checkpoint replay,
-    per-cost-level enumeration, shard fan-out — records timed spans
-    into ``result.extra["trace"]``.  Like ``shard_workers`` it is a
-    pure execution knob: it never changes the answer, and it is
-    excluded from the wire fingerprint for exactly that reason.
+    per-cost-level enumeration — records timed spans into
+    ``result.extra["trace"]``.  It is a pure execution knob: it never
+    changes the answer, and it is excluded from the wire fingerprint
+    for exactly that reason.
     """
 
     backend: str = "vector"
@@ -58,7 +50,6 @@ class EngineConfig:
     use_guide_table: bool = True
     check_uniqueness: bool = True
     max_generated: Optional[int] = None
-    shard_workers: int = 1
     trace: bool = False
 
     def replace(self, **changes: object) -> "EngineConfig":

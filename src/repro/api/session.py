@@ -229,7 +229,6 @@ class Session:
             use_guide_table=config.use_guide_table,
             check_uniqueness=config.check_uniqueness,
             max_generated=max_generated,
-            shard_workers=config.shard_workers,
         )
 
     def _attach_durability(self, engine: SearchEngine) -> None:
@@ -315,9 +314,7 @@ class Session:
             elapsed_seconds=elapsed,
             extra={
                 "level_stats": engine.level_stats,
-                "sharded_emits": engine.sharded_emits,
                 "resumed_levels": engine.resumed_levels,
-                "shard_failovers": engine.shard_failovers,
                 "partial_resumes": engine.partial_resumes,
                 "partial_checkpoints": engine.partial_checkpoints,
                 "phase_seconds": _phase_breakdown(
@@ -483,9 +480,7 @@ class Session:
             "batch_size": len(requests),
             "sweep_seconds": sweep_seconds,
             "sweep_generated": engine.generated,
-            "sharded_emits": engine.sharded_emits,
             "resumed_levels": engine.resumed_levels,
-            "shard_failovers": engine.shard_failovers,
             "phase_seconds": _phase_breakdown(
                 engine, staging_seconds, sweep_seconds
             ),

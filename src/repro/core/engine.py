@@ -15,7 +15,6 @@ property the test-suite asserts.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -26,7 +25,7 @@ from ..language.guide_table import GuideTable
 from ..language.universe import Universe
 from ..regex.cost import CostFunction
 from ..spec import Spec
-from .bitops import int_to_lanes, popcount
+from .bitops import popcount
 
 # Provenance opcodes.  EMPTY/EPSILON occur only as solutions of trivial
 # specifications; CHAR's ``left`` field is an index into the alphabet.
@@ -37,11 +36,6 @@ OP_QUESTION = 3
 OP_STAR = 4
 OP_CONCAT = 5
 OP_UNION = 6
-
-#: Below this many candidates in a pair group, a sharded emit's fixed
-#: coordinator round-trip costs more than it saves; smaller groups take
-#: the serial path (bit-identical either way).
-DEFAULT_SHARD_MIN_CANDIDATES = 1 << 15
 
 #: Status verdicts of a search run.
 STATUS_SUCCESS = "success"
@@ -158,8 +152,7 @@ def _pair_candidates(
     pairing: Tuple[Tuple[int, int], Tuple[int, int], bool]
 ) -> int:
     """Candidate count of one ``(left, right, triangular)`` pairing —
-    the closed form the mid-level fast-forward skips whole steps with
-    (mirrors :func:`repro.core.shard.total_pair_candidates`)."""
+    the closed form the mid-level fast-forward skips whole steps with."""
     (l0, l1), (r0, r1), triangular = pairing
     if triangular:
         n = l1 - l0
@@ -225,10 +218,7 @@ class SearchEngine:
         use_guide_table: bool = True,
         check_uniqueness: bool = True,
         max_generated: Optional[int] = None,
-        shard_workers: int = 1,
     ) -> None:
-        if shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
         self.spec = spec
         self.cost_fn = cost_fn
         self.universe = universe
@@ -239,22 +229,6 @@ class SearchEngine:
         self.use_guide_table = use_guide_table
         self.check_uniqueness = check_uniqueness
         self.max_generated = max_generated
-        #: Intra-query parallelism: with ``shard_workers >= 2`` the pair
-        #: emits of each cost level are partitioned across that many
-        #: worker processes (see :mod:`repro.core.shard`); ``1`` is the
-        #: serial code path, with no coordinator ever constructed.
-        self.shard_workers = shard_workers
-        #: Pair groups below this candidate count take the serial path
-        #: even when sharding is on (round-trip cost dominates).
-        self.shard_min_candidates = DEFAULT_SHARD_MIN_CANDIDATES
-        self._shard_coordinator = None
-        #: Batching parameters the shard workers mirror.  The base
-        #: defaults match the vectorised engine's; engines with tuned
-        #: kernels (VectorEngine) overwrite them from their own
-        #: constructor arguments so worker-side batching always agrees
-        #: with the engine's configuration.
-        self._shard_max_batch = 1 << 17
-        self._shard_split_block_bytes: Optional[int] = None
 
         self.pos_mask = universe.cs_of(spec.positive)
         self.neg_mask = universe.cs_of(spec.negative)
@@ -272,14 +246,6 @@ class SearchEngine:
         #: ``cost``, ``generated``, ``stored`` and ``otf`` — the growth
         #: data behind the paper's exponential-blowup discussion.
         self.level_stats: List[dict] = []
-        #: Pair groups that actually fanned out to the shard pool (0 on
-        #: a serial run — the observable the tests and the serving
-        #: layer's result extras use to tell the paths apart).
-        self.sharded_emits = 0
-        #: Pair groups re-executed serially because a shard worker died
-        #: mid-round (sharding is disabled for the rest of the run after
-        #: the first failover).
-        self.shard_failovers = 0
         #: Cost levels adopted from checkpoints instead of enumerated
         #: (see :meth:`restore_levels`).
         self.resumed_levels = 0
@@ -354,9 +320,9 @@ class SearchEngine:
         self.partial_every_s: Optional[float] = None
         #: Optional :class:`repro.obs.trace.Tracer`.  When set, the
         #: sweep records spans (checkpoint replay, seed level, one span
-        #: per cost level with dedupe/solve/store deltas, shard
-        #: fan-outs); ``None`` (the default) is the zero-overhead path —
-        #: one predicate test per level, nothing recorded.
+        #: per cost level with dedupe/solve/store deltas); ``None`` (the
+        #: default) is the zero-overhead path — one predicate test per
+        #: level, nothing recorded.
         self.tracer = None
         #: ``time.monotonic()`` timestamp of the current :meth:`run`
         #: (None before the first run).  Progress events derive their
@@ -397,27 +363,8 @@ class SearchEngine:
         skip: int = 0,
     ) -> bool:
         """Build all ``op`` candidates of one cost level — every
-        ``(left, right, triangular)`` operand pairing, in order.
-
-        Large groups of a sharded engine (``shard_workers >= 2``) are
-        partitioned across the shard worker pool; everything else takes
-        :meth:`_emit_pair_group_serial`.  Both paths produce the same
-        enumeration-visible state, so the dispatch is invisible in the
-        results.  A group entered with a mid-level resume offset
-        (``skip > 0``) always runs serially — the offset is consumed
-        once per run, and the serial path is bit-identical anyway.
-        """
-        if skip == 0 and self._sharding_applies(pairings):
-            return self._emit_pair_group_sharded(op, pairings)
-        return self._emit_pair_group_serial(op, pairings, skip)
-
-    def _emit_pair_group_serial(
-        self,
-        op: int,
-        pairings: List[Tuple[Tuple[int, int], Tuple[int, int], bool]],
-        skip: int = 0,
-    ) -> bool:
-        """The in-process emit of a pair group.
+        ``(left, right, triangular)`` operand pairing, in order, except
+        the first ``skip`` (already adopted from a partial checkpoint).
 
         The default runs the pairings one at a time; the vectorised
         engine overrides this to *fuse* the small pairings of a level
@@ -435,120 +382,6 @@ class SearchEngine:
             if self._emit_pairs(op, left, right, triangular, pair_skip):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Intra-query sharding (see repro.core.shard)
-    # ------------------------------------------------------------------
-    def _sharding_applies(
-        self,
-        pairings: List[Tuple[Tuple[int, int], Tuple[int, int], bool]],
-    ) -> bool:
-        """Should this pair group fan out to the shard pool?
-
-        Sharding requires an unbounded cache with uniqueness checking on
-        (the OnTheFly transition and the no-dedupe ablation keep their
-        serial semantics), a non-daemonic host process (daemons may not
-        spawn children; the service pool's workers are non-daemonic
-        precisely so pooled jobs can shard — this guard covers other
-        daemonic embeddings), and enough candidates to amortise one
-        coordinator round trip.
-        """
-        if (
-            self.shard_workers < 2
-            or self.otf
-            or self.max_cache_size is not None
-            or not self.check_uniqueness
-        ):
-            return False
-        from .shard import total_pair_candidates
-
-        if total_pair_candidates(pairings) < self.shard_min_candidates:
-            return False
-        if multiprocessing.current_process().daemon:
-            return False
-        return True
-
-    def _emit_pair_group_sharded(
-        self,
-        op: int,
-        pairings: List[Tuple[Tuple[int, int], Tuple[int, int], bool]],
-    ) -> bool:
-        """Fan one pair group out to the shard pool and reconcile.
-
-        A shard worker crashing mid-round is survivable: the coordinator
-        mutates no engine state before :meth:`_apply_shard_outcome`, so
-        the whole group is simply re-executed on the serial path
-        (bit-identical by construction) and sharding is disabled for the
-        rest of the run.
-        """
-        from .shard import ShardWorkerDied
-
-        if self._shard_coordinator is None:
-            self._shard_coordinator = self._make_shard_coordinator()
-        remaining = (
-            None
-            if self.max_generated is None
-            else self.max_generated - self.generated
-        )
-        tracer = self.tracer
-        fan_span = (
-            tracer.start("shard-fanout", op=op, shards=self.shard_workers)
-            if tracer is not None
-            else None
-        )
-        try:
-            self._shard_coordinator.sync_rows(self._shard_rows, len(self.cache))
-            outcome = self._shard_coordinator.emit_pair_group(
-                op,
-                pairings,
-                remaining,
-                span_parent=None if fan_span is None else fan_span.span_id,
-            )
-        except ShardWorkerDied:
-            if fan_span is not None:
-                tracer.finish(fan_span, failover=True)
-            self._close_shards()
-            self.shard_workers = 1
-            self.shard_failovers += 1
-            return self._emit_pair_group_serial(op, pairings)
-        if fan_span is not None:
-            tracer.adopt(outcome.spans)
-            tracer.finish(fan_span, candidates=outcome.total)
-        self.sharded_emits += 1
-        return self._apply_shard_outcome(op, outcome)
-
-    def _make_shard_coordinator(self):
-        """Spawn the worker pool for this run (lazily, on first use)."""
-        from .shard import ShardCoordinator
-
-        return ShardCoordinator(
-            self.universe,
-            self.guide,
-            int_to_lanes(self.pos_mask, self.universe.lanes),
-            int_to_lanes(self.neg_mask, self.universe.lanes),
-            self.max_errors,
-            self.shard_workers,
-            max_batch=self._shard_max_batch,
-            split_block_bytes=self._shard_split_block_bytes,
-            trace_id=None if self.tracer is None else self.tracer.trace_id,
-        )
-
-    def _shard_rows(self, start: int, end: int):
-        """Cache rows ``[start, end)`` as a packed uint64 matrix (the
-        shard workers' mirror feed)."""
-        raise NotImplementedError
-
-    def _apply_shard_outcome(self, op: int, outcome) -> bool:
-        """Reconcile a :class:`~repro.core.shard.ShardOutcome` into the
-        engine state (authoritative dedupe + store + counters); return
-        True iff the group produced the run's solution."""
-        raise NotImplementedError
-
-    def _close_shards(self) -> None:
-        """Tear down the shard pool (no-op when none was spawned)."""
-        if self._shard_coordinator is not None:
-            self._shard_coordinator.close()
-            self._shard_coordinator = None
 
     @property
     def cache(self):
@@ -622,10 +455,6 @@ class SearchEngine:
         except SweepPreempted:
             self.status = STATUS_PREEMPTED
             return self.status
-        finally:
-            # Shard workers live for one run; engines are per-request
-            # objects, so the pool must not outlive the sweep.
-            self._close_shards()
 
     @property
     def elapsed_s(self) -> float:

@@ -481,77 +481,13 @@ class PackedKeySet:
                     break
                 slot = (slot + step) & mask
 
-    def contains_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Batched membership probe: ``mask[i]`` iff row ``i`` is stored.
-
-        Pure lookup — the set is never mutated, so rows equal to each
-        other but absent from the set all report False.  The shard
-        workers use this as the phase-one filter against their mirror of
-        the confirmed key set; probing follows the exact same
-        fingerprint-first two-tier walk as :meth:`insert_batch`.
-        """
-        if rows.ndim != 2 or rows.shape[1] != self._lanes:
-            raise ValueError("rows must have shape (n, %d)" % self._lanes)
-        n = rows.shape[0]
-        present = np.zeros(n, dtype=bool)
-        if n == 0 or self._size == 0:
-            return present
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        fps = self._fingerprints(rows)
-        wide_fps = fps.astype(np.uint64)
-        idx, steps = self._probe_start(fps)
-        pending = np.arange(n, dtype=self._claim.dtype)
-        table = self._table
-        while pending.size > _SCALAR_TAIL:
-            slots = idx.take(pending)
-            words = table.take(slots)
-            empty_mask = words == 0  # absent: resolves as False
-            fp_hit = (words >> _FP_SHIFT) == wide_fps.take(pending)
-            advance = ~(empty_mask | fp_hit)
-            hit_pos = np.flatnonzero(fp_hit)
-            if hit_pos.size:
-                colliding = pending.take(hit_pos)
-                hit_refs = (
-                    words.take(hit_pos).astype(np.int64) & _REF_MASK
-                ) - 1
-                equal = (
-                    self._dense_keys.take(hit_refs, axis=0)
-                    == rows.take(colliding, axis=0)
-                ).all(axis=1)
-                present[colliding.compress(equal)] = True
-                advance[hit_pos.compress(~equal)] = True
-            advancing = pending.compress(advance)
-            idx[advancing] = (
-                idx.take(advancing) + steps.take(advancing)
-            ) & self._mask
-            pending = pending.compress(advance)
-        mask = self._mask
-        for p in pending:
-            p = int(p)
-            fp = int(fps[p])
-            row_bytes = rows[p].tobytes()
-            slot = int(idx[p])
-            step = int(steps[p])
-            while True:
-                word = int(table[slot])
-                if word == 0:
-                    break
-                if (
-                    (word >> 32) == fp
-                    and self._dense_keys[(word & 0xFFFFFFFF) - 1].tobytes()
-                    == row_bytes
-                ):
-                    present[p] = True
-                    break
-                slot = (slot + step) & mask
-        return present
-
     def insert_novel_batch(self, rows: np.ndarray) -> None:
         """Bulk-insert rows known to be pairwise distinct and absent.
 
-        The fast path for adopting *pre-filtered* novel keys (the shard
-        workers' confirmed-set sync: every broadcast row already
-        survived the coordinator's authoritative dedupe).  Like
+        The fast path for adopting *pre-filtered* novel keys: checkpoint
+        restore (:meth:`repro.core.vector_engine.VectorEngine.
+        _adopt_restored`) replays stored cache rows, which are globally
+        distinct by construction.  Like
         :meth:`_rehash`, placement never compares keys or fingerprints —
         every pending ref either claims an empty slot or advances past
         an occupied one — and the rows append contiguously to the dense

@@ -44,7 +44,6 @@ class ScalarEngine(SearchEngine):
         use_guide_table: bool = True,
         check_uniqueness: bool = True,
         max_generated: Optional[int] = None,
-        shard_workers: int = 1,
     ) -> None:
         super().__init__(
             spec,
@@ -56,7 +55,6 @@ class ScalarEngine(SearchEngine):
             use_guide_table=use_guide_table,
             check_uniqueness=check_uniqueness,
             max_generated=max_generated,
-            shard_workers=shard_workers,
         )
         self._cache = IntCache(max_size=max_cache_size)
         self._seen = FingerprintHashSet(initial_capacity=1 << 12)
@@ -175,50 +173,6 @@ class ScalarEngine(SearchEngine):
                 for j in range(j_start, right[1]):
                     if self._handle(left_cs | cs_list[j], op, i, j):
                         return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Intra-query sharding hooks (see repro.core.shard)
-    # ------------------------------------------------------------------
-    def _shard_rows(self, start: int, end: int):
-        return ints_to_matrix(
-            self._cache.cs_list[start:end], self.universe.lanes
-        )
-
-    def _apply_shard_outcome(self, op, outcome) -> bool:
-        """Reconcile a sharded emit into the scalar state.
-
-        The workers compute candidates with the vectorised kernels; the
-        engine-equivalence property (both engines build identical CSs in
-        identical order) makes unpacking their survivors back to ints
-        exact.  The authoritative per-candidate seen-set insert keeps
-        the cache sequence identical to the serial scalar loop; the
-        ``generated`` counter advances by the plan's ordinals.
-        """
-        base = self.generated
-        rows = outcome.rows
-        if rows.shape[0]:
-            width = self.universe.lanes * 8
-            data = rows.astype("<u8", copy=False).tobytes()
-            seen = self._seen
-            cache = self._cache
-            for k in range(rows.shape[0]):
-                cs = int.from_bytes(data[k * width : (k + 1) * width], "little")
-                if seen.insert(cs):
-                    cache.append(
-                        cs,
-                        op,
-                        int(outcome.a_idx[k]),
-                        int(outcome.b_idx[k]),
-                        base + 1 + int(outcome.ordinals[k]),
-                    )
-        if outcome.hit is not None:
-            ordinal, left, right = outcome.hit
-            self.generated = base + ordinal + 1
-            self._record_solution(op, left, right, self._current_cost)
-            return True
-        self.generated = base + outcome.total
-        self._check_budget()
         return False
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ def make_engine(
     use_guide_table: bool = True,
     check_uniqueness: bool = True,
     max_generated: Optional[int] = None,
-    shard_workers: int = 1,
 ) -> SearchEngine:
     """Construct (but do not run) a search engine.
 
@@ -68,7 +67,6 @@ def make_engine(
         use_guide_table=use_guide_table,
         check_uniqueness=check_uniqueness,
         max_generated=max_generated,
-        shard_workers=shard_workers,
     )
 
 

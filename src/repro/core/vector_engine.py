@@ -48,6 +48,7 @@ from .bitops import (
     int_to_lanes,
     ints_to_matrix,
     plane_segment,
+    popcount_rows,
     unbitslice_rows,
 )
 from .cache import PackedCache
@@ -62,7 +63,6 @@ from .engine import (
     _pair_candidates,
 )
 from .hashset import PackedKeySet
-from .shard import LaneMatcher
 
 #: Byte budget for the concat kernel's bit-sliced gather intermediates
 #: (the batch × padded-splits planes).  Word-aligned blocks of the split
@@ -70,6 +70,43 @@ from .shard import LaneMatcher
 DEFAULT_SPLIT_BLOCK_BYTES = 1 << 25
 
 _FULL_BYTE = np.uint8(255)
+
+
+class LaneMatcher:
+    """Lane-restricted batched solution predicate on packed rows.
+
+    The vectorised form of :func:`repro.core.engine.cs_solves`: checks
+    only the uint64 lanes the specification masks actually touch (most
+    lanes of a wide spec are all-zero in both masks), supporting the
+    error-relaxed variant.
+    """
+
+    __slots__ = ("max_errors", "active", "pos", "neg", "lanes")
+
+    def __init__(
+        self,
+        pos_lanes: np.ndarray,
+        neg_lanes: np.ndarray,
+        max_errors: int,
+    ) -> None:
+        self.max_errors = max_errors
+        self.lanes = pos_lanes.shape[0]
+        active = np.flatnonzero(pos_lanes | neg_lanes)
+        self.active = None if active.size == self.lanes else active
+        self.pos = pos_lanes if self.active is None else pos_lanes[self.active]
+        self.neg = neg_lanes if self.active is None else neg_lanes[self.active]
+
+    def flags(self, rows: np.ndarray) -> np.ndarray:
+        """Per-row ``|= (P, N)`` verdicts for a ``(n, lanes)`` batch."""
+        if self.active is not None:
+            rows = rows.take(self.active, axis=1)
+        if self.max_errors == 0:
+            pos_ok = ((rows & self.pos) == self.pos).all(axis=1)
+            neg_ok = ((rows & self.neg) == 0).all(axis=1)
+            return pos_ok & neg_ok
+        mistakes = popcount_rows((rows & self.pos) ^ self.pos)
+        mistakes += popcount_rows(rows & self.neg)
+        return mistakes <= self.max_errors
 
 
 class _Kernels:
@@ -264,7 +301,6 @@ class VectorEngine(SearchEngine):
         use_guide_table: bool = True,
         check_uniqueness: bool = True,
         max_generated: Optional[int] = None,
-        shard_workers: int = 1,
         max_batch: int = 1 << 17,
         split_block_bytes: int = DEFAULT_SPLIT_BLOCK_BYTES,
     ) -> None:
@@ -278,18 +314,15 @@ class VectorEngine(SearchEngine):
             use_guide_table=use_guide_table,
             check_uniqueness=check_uniqueness,
             max_generated=max_generated,
-            shard_workers=shard_workers,
         )
         self._cache = PackedCache(universe.lanes, max_size=max_cache_size)
         self._seen = PackedKeySet(universe.lanes, initial_capacity=1 << 12)
         self._kernels = _Kernels(
             universe, guide, split_block_bytes=split_block_bytes
         )
-        self._shard_split_block_bytes = split_block_bytes
         # Star segments slice cached level planes byte-aligned, so the
         # chunk size must be a multiple of 8.
         self._max_batch = max(8, max_batch & ~7)
-        self._shard_max_batch = self._max_batch
         self._pos_lanes = int_to_lanes(self.pos_mask, universe.lanes)
         self._neg_lanes = int_to_lanes(self.neg_mask, universe.lanes)
         self._refresh_active_lanes()
@@ -305,7 +338,7 @@ class VectorEngine(SearchEngine):
     def _refresh_active_lanes(self) -> None:
         """Rebuild the lane-restricted batch matcher (it skips the
         lanes where both spec masks are all-zero — most lanes of a wide
-        spec; shard workers run the identical matcher)."""
+        spec)."""
         self._matcher = LaneMatcher(
             self._pos_lanes, self._neg_lanes, self.max_errors
         )
@@ -474,7 +507,7 @@ class VectorEngine(SearchEngine):
             return self._flush(op)
         return False
 
-    def _emit_pair_group_serial(
+    def _emit_pair_group(
         self,
         op: int,
         pairings: List[Tuple[Tuple[int, int], Tuple[int, int], bool]],
@@ -526,35 +559,6 @@ class VectorEngine(SearchEngine):
         """One pairing on its own (kept for the `SearchEngine` surface);
         the level loop goes through :meth:`_emit_pair_group`."""
         return self._emit_pair_group(op, [(left, right, triangular)], skip)
-
-    # ------------------------------------------------------------------
-    # Intra-query sharding hooks (see repro.core.shard)
-    # ------------------------------------------------------------------
-    def _shard_rows(self, start: int, end: int) -> np.ndarray:
-        return self._cache.matrix[start:end]
-
-    def _apply_shard_outcome(self, op: int, outcome) -> bool:
-        """Phase two of the sharded dedupe: the locally-novel survivors
-        pass through the engine's normal store path (authoritative
-        seen-set insert, order-preserving), and the counters advance by
-        the ordinals the partition plan fixed up front — exactly the
-        serial batch semantics."""
-        base = self.generated
-        absolute = base + 1 + outcome.ordinals
-        if outcome.hit is not None:
-            ordinal, left, right = outcome.hit
-            self.generated = base + ordinal + 1
-            self._store_rows(
-                op, outcome.rows, outcome.a_idx, outcome.b_idx, absolute
-            )
-            self._record_solution(op, left, right, self._current_cost)
-            return True
-        self.generated = base + outcome.total
-        self._store_rows(
-            op, outcome.rows, outcome.a_idx, outcome.b_idx, absolute
-        )
-        self._check_budget()
-        return False
 
     # ------------------------------------------------------------------
     # Level checkpointing (see SearchEngine.restore_levels)

@@ -22,7 +22,6 @@ SPAN_STAGES = {
     "checkpoint-restore": "checkpoint_replay",
     "checkpoint-save": "checkpoint_save",
     "result-store-write": "store_write",
-    "shard-fanout": "shard_fanout",
 }
 
 

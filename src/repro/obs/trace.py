@@ -7,7 +7,7 @@ line up on one timeline), and the recorder is a bounded ring buffer so
 a runaway query can never grow memory without bound.
 
 The *wire* form of a span is a plain dict (see :meth:`Span.to_dict`) —
-that is what crosses multiprocessing pipes inside shard replies and
+that is what crosses multiprocessing pipes inside
 ``SynthesisResult.extra["trace"]``, and what the exporters consume.
 """
 
@@ -133,9 +133,7 @@ class Tracer:
 
     All methods run on whatever thread does the work; the stack used
     for implicit parenting assumes the strictly nested call pattern the
-    engine actually has (a level span inside the job span, a shard
-    fan-out span inside the level span).  Spans adopted from *other*
-    processes (:meth:`adopt`) bypass the stack entirely.
+    engine actually has (a level span inside the job span).
     """
 
     __slots__ = ("trace_id", "process", "capacity", "dropped", "_spans", "_stack")
@@ -151,7 +149,7 @@ class Tracer:
         self.process = process
         self.capacity = max(1, int(capacity))
         self.dropped = 0
-        self._spans: List[object] = []
+        self._spans: List[Span] = []
         #: Implicit-parent stack, seeded with the remote parent so the
         #: first local span hangs off the upstream process's span.
         self._stack: List[str] = [parent_span_id] if parent_span_id else []
@@ -201,12 +199,7 @@ class Tracer:
         finally:
             self.finish(span)
 
-    def adopt(self, spans: List[Dict[str, object]]) -> None:
-        """Absorb wire-form spans recorded by another process."""
-        for span in spans:
-            self._record(span)
-
-    def _record(self, span: object) -> None:
+    def _record(self, span: Span) -> None:
         if len(self._spans) >= self.capacity:
             self._spans.pop(0)
             self.dropped += 1
@@ -221,7 +214,4 @@ class Tracer:
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Wire-form view of the buffer without clearing it."""
-        return [
-            span.to_dict() if isinstance(span, Span) else dict(span)
-            for span in self._spans
-        ]
+        return [span.to_dict() for span in self._spans]

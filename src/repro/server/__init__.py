@@ -3,8 +3,7 @@
 The package splits into the three layers the tests exercise separately:
 
 * :mod:`repro.server.scheduler` — admission control, workload classes,
-  measured-history classification and adaptive sharding (pure Python,
-  no sockets);
+  measured-history classification (pure Python, no sockets);
 * :mod:`repro.server.http11` — the minimal asyncio HTTP/1.1 layer;
 * :mod:`repro.server.app` — :class:`SynthesisServer`, wiring two
   worker-pool lanes behind the endpoints;
@@ -19,7 +18,6 @@ from .scheduler import (
     AdmissionController,
     LatencyTracker,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
     estimate_cost,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "ServerError",
     "SynthesisServer",
     "WorkloadHistory",
-    "choose_shard_workers",
     "classify",
     "estimate_cost",
 ]

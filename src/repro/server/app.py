@@ -75,11 +75,9 @@ from .scheduler import (
     CLASSES,
     DEFAULT_INTERACTIVE_THRESHOLD,
     DEFAULT_LATENCY_TARGET_S,
-    DEFAULT_SHARD_WIDTH_THRESHOLD,
     AdmissionController,
     LatencyTracker,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
 )
 
@@ -114,7 +112,6 @@ class _JobRecord:
         "klass",
         "state",
         "priority",
-        "shard_workers",
         "submitted_monotonic",
         "events",
         "subscribers",
@@ -128,7 +125,7 @@ class _JobRecord:
     )
 
     def __init__(self, job_id: str, wire: WireRequest, klass: str,
-                 priority: int, shard_workers: int,
+                 priority: int,
                  trace_id: Optional[str] = None,
                  root_span_id: Optional[str] = None,
                  server_spans: Optional[List[dict]] = None) -> None:
@@ -137,7 +134,6 @@ class _JobRecord:
         self.klass = klass
         self.state = "queued"
         self.priority = priority
-        self.shard_workers = shard_workers
         self.submitted_monotonic = time.monotonic()
         #: Observability identity of this job (None when untraced) plus
         #: the spans the *server* recorded — the root job span first.
@@ -164,7 +160,6 @@ class _JobRecord:
             "state": self.state,
             "class": self.klass,
             "joined": self.joined,
-            "shard_workers": self.shard_workers,
             "events": len(self.events),
         }
         if self.trace_id is not None:
@@ -206,8 +201,6 @@ class SynthesisServer:
         reuse_results: bool = True,
         interactive_threshold: float = DEFAULT_INTERACTIVE_THRESHOLD,
         latency_target_s: float = DEFAULT_LATENCY_TARGET_S,
-        max_shard_workers: int = 4,
-        shard_width_threshold: int = DEFAULT_SHARD_WIDTH_THRESHOLD,
         checkpoint_budget_bytes: Optional[int] = None,
         checkpoints: bool = True,
         auth_token: Optional[str] = None,
@@ -222,8 +215,6 @@ class SynthesisServer:
         self.store_dir = store_dir
         self.interactive_threshold = interactive_threshold
         self.latency_target_s = latency_target_s
-        self.max_shard_workers = max_shard_workers
-        self.shard_width_threshold = shard_width_threshold
         self.checkpoint_budget_bytes = checkpoint_budget_bytes
         #: Bearer token every request must present (None = open server).
         self.auth_token = auth_token
@@ -432,6 +423,12 @@ class SynthesisServer:
                     return
                 if terminal or request.wants_close:
                     return
+        except asyncio.CancelledError:
+            # stop() cancels every connection task — idle keep-alive
+            # reads and open event streams alike; end those quietly (a
+            # cancellation escaping the handler is logged as an error).
+            if not self._stopping.is_set():
+                raise
         finally:
             try:
                 writer.close()
@@ -582,17 +579,6 @@ class SynthesisServer:
             if preempted_job is not None:
                 self.preemptions_triggered += 1
 
-        shards = choose_shard_workers(
-            wire,
-            self.history,
-            cpu_count=os.cpu_count() or 1,
-            max_shard_workers=self.max_shard_workers,
-            width_threshold=self.shard_width_threshold,
-        )
-        if shards != wire.config.shard_workers:
-            wire = dataclasses.replace(
-                wire, config=wire.config.replace(shard_workers=shards)
-            )
         priority = (
             PRIORITY_HIGH if klass == CLASS_INTERACTIVE else PRIORITY_NORMAL
         )
@@ -600,8 +586,8 @@ class SynthesisServer:
         server_spans: List[dict] = []
         if trace_enabled:
             # Root span of the whole job; everything downstream (pool
-            # queue-wait, worker-job, engine levels, shard emits) hangs
-            # off it via the child context that rides the wire.
+            # queue-wait, worker-job, engine levels) hangs off it via
+            # the child context that rides the wire.
             ctx = wire.trace_ctx or TraceContext.mint()
             trace_id, root_span_id = ctx.trace_id, new_span_id()
 
@@ -647,7 +633,7 @@ class SynthesisServer:
                 wire, trace_ctx=ctx.child(root_span_id)
             )
         record = _JobRecord(
-            job_id, wire, klass, priority, shards,
+            job_id, wire, klass, priority,
             trace_id=trace_id, root_span_id=root_span_id,
             server_spans=server_spans,
         )

@@ -217,7 +217,7 @@ class _WorkerState:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = ("worker_id", "process", "task_queue", "result_queue",
-                 "inflight", "load", "warm", "served", "stats", "dead",
+                 "inflight", "warm", "served", "stats", "dead",
                  "_warm_capacity")
 
     def __init__(self, worker_id: int, process, task_queue, result_queue,
@@ -227,9 +227,6 @@ class _WorkerState:
         self.task_queue = task_queue
         self.result_queue = result_queue
         self.inflight: set = set()
-        #: Slot-weighted in-flight load (a sharded job claims
-        #: ``job.slots`` slots of this worker's depth, not one).
-        self.load = 0
         #: Staging fingerprints this worker's session is warm on
         #: (insertion-ordered, bounded like the session's LRU).
         self.warm: "OrderedDict[str, bool]" = OrderedDict()
@@ -377,14 +374,12 @@ class WorkerPool:
             for worker_id in range(self.n_workers):
                 task_queue = self._mp.Queue()
                 result_queue = self._mp.Queue()
-                # Workers are NOT daemonic: a daemonic process may not
-                # spawn children, and a job configured with
-                # ``shard_workers >= 2`` fans out inside its worker (see
-                # repro.core.shard) — which is also why such a job
-                # claims that many scheduler slots.  The atexit hook
-                # below replaces the daemon flag's normal-exit cleanup;
-                # a hard-killed parent orphans children under either
-                # flag, so no safety is lost.
+                # Workers are NOT daemonic: at interpreter exit the
+                # atexit hook below runs the graceful shutdown (workers
+                # send their farewell stats and exit on their own)
+                # instead of multiprocessing terminating daemonic
+                # children mid-job; a hard-killed parent orphans
+                # children under either flag, so no safety is lost.
                 process = self._spawn_process(
                     worker_id, task_queue, result_queue
                 )
@@ -700,46 +695,20 @@ class WorkerPool:
         """Pure scheduling decision, exposed for deterministic tests.
 
         ``pending`` is an ordered sequence of objects with a
-        ``staging_fp`` attribute (and optionally ``slots``); returns
-        ``(index_in_pending, worker_id, kind)`` triples with ``kind``
-        one of ``"affinity"`` (routed to a warm worker), ``"steal"`` (a
-        warm worker exists but is saturated — a cold worker takes the
-        job) or ``"cold"`` (nobody is warm).  Jobs are considered in
-        queue order; an assignment consumes ``job.slots`` slots of the
-        chosen worker's ``depth`` (default 1) — a sharded job reserves
-        the capacity its intra-query fan-out will use.  A job wider
-        than ``depth`` is still admitted, but only onto an *idle*
-        worker.
-
-        An unplaceable job *parks* on the least-loaded unreserved
-        worker: that worker receives no later assignments this round,
-        and because every round re-parks the head job the same way, the
-        parked worker's load can only drain — so a wide job always
-        reaches an idle worker and sustained narrow traffic can never
-        starve it (later jobs may still backfill the *other* workers).
+        ``staging_fp`` attribute; returns ``(index_in_pending,
+        worker_id, kind)`` triples with ``kind`` one of ``"affinity"``
+        (routed to a warm worker), ``"steal"`` (a warm worker exists but
+        is saturated — a cold worker takes the job) or ``"cold"``
+        (nobody is warm).  Jobs are considered in queue order; each
+        assignment consumes one of the chosen worker's ``depth`` slots.
         """
         loads = list(worker_loads)
         warm_sets = [set(w) for w in worker_warm]
         plan: List[tuple] = []
-        reserved: set = set()
         for index, job in enumerate(pending):
-            slots = max(1, getattr(job, "slots", 1))
-            free = [
-                w
-                for w in range(len(loads))
-                if w not in reserved
-                and (loads[w] == 0 or loads[w] + slots <= depth)
-            ]
+            free = [w for w in range(len(loads)) if loads[w] < depth]
             if not free:
-                drainable = [
-                    w
-                    for w in range(len(loads))
-                    if w not in reserved and loads[w] < depth
-                ]
-                if not drainable:
-                    break  # every worker saturated or already parked
-                reserved.add(min(drainable, key=lambda w: (loads[w], w)))
-                continue
+                break  # every worker saturated
             warm_free = [w for w in free if job.staging_fp in warm_sets[w]]
             if warm_free:
                 target = min(warm_free, key=lambda w: (loads[w], w))
@@ -751,7 +720,7 @@ class WorkerPool:
                     if any(job.staging_fp in s for s in warm_sets)
                     else "cold"
                 )
-            loads[target] += slots
+            loads[target] += 1
             warm_sets[target].add(job.staging_fp)
             plan.append((index, target, kind))
         return plan
@@ -778,7 +747,7 @@ class WorkerPool:
                 return
             plan = self.plan_assignments(
                 pending,
-                [w.load for w in alive],
+                [len(w.inflight) for w in alive],
                 [w.warm.keys() for w in alive],
                 self.per_worker_depth,
             )
@@ -800,7 +769,6 @@ class WorkerPool:
                 self._dispatched_at[job.job_id] = time.monotonic()
                 self._jobs_by_id[job.job_id] = job
                 worker.inflight.add(job.job_id)
-                worker.load += job.slots
                 worker.mark_warm(job.staging_fp)
                 self._record_queue_wait(job)
                 worker.task_queue.put(
@@ -965,7 +933,6 @@ class WorkerPool:
                     if job is not None:
                         orphaned.append(job)
                 worker.inflight.clear()
-                worker.load = 0
                 if not closing:
                     respawn.append(worker)
             if all(w.dead for w in self._workers) and not respawn:
@@ -1144,13 +1111,9 @@ class WorkerPool:
         if job.cancel_probes:
             self._poll_cancel_probes(job)
 
-    def _release_worker(
-        self, worker_id: int, job_id: str, stats, slots: int = 1
-    ) -> None:
+    def _release_worker(self, worker_id: int, job_id: str, stats) -> None:
         worker = self._workers[worker_id]
-        if job_id in worker.inflight:
-            worker.inflight.discard(job_id)
-            worker.load = max(0, worker.load - slots)
+        worker.inflight.discard(job_id)
         worker.served += 1
         if stats:
             worker.stats = stats
@@ -1162,12 +1125,7 @@ class WorkerPool:
         preempted = result.status == "preempted"
         with self._lock:
             job = self._jobs_by_id.pop(job_id, None)
-            self._release_worker(
-                worker_id,
-                job_id,
-                stats,
-                slots=job.slots if job is not None else 1,
-            )
+            self._release_worker(worker_id, job_id, stats)
             final_event = self._pending_final_events.pop(job_id, None)
             if not preempted:
                 parent_spans = self._parent_spans.pop(job_id, [])
@@ -1272,12 +1230,7 @@ class WorkerPool:
     def _on_error(self, worker_id, job_id, text) -> None:
         with self._lock:
             job = self._jobs_by_id.pop(job_id, None)
-            self._release_worker(
-                worker_id,
-                job_id,
-                None,
-                slots=job.slots if job is not None else 1,
-            )
+            self._release_worker(worker_id, job_id, None)
             self._pending_final_events.pop(job_id, None)
             self._parent_spans.pop(job_id, None)
             self._submitted_at.pop(job_id, None)
@@ -1294,7 +1247,7 @@ class WorkerPool:
 
         ``capacity`` is the scheduler-slot total (``alive × depth``) the
         admission layer sizes its quotas against; ``load`` the
-        slot-weighted in-flight sum, so ``load / capacity`` is the
+        in-flight job count, so ``load / capacity`` is the
         pool's utilisation.
         """
         with self._lock:
@@ -1305,7 +1258,7 @@ class WorkerPool:
                 if not w.dead and w.process is not None
                 and w.process.is_alive()
             )
-            load = sum(w.load for w in workers if not w.dead)
+            load = sum(len(w.inflight) for w in workers if not w.dead)
         return {
             "started": self._started,
             "workers": len(workers),
@@ -1360,7 +1313,7 @@ class WorkerPool:
                 {
                     "worker_id": w.worker_id,
                     "served": w.served,
-                    "load": w.load,
+                    "load": len(w.inflight),
                     "warm": list(w.warm.keys()),
                     "session": dict(w.stats),
                 }

@@ -45,7 +45,6 @@ class Job:
         "job_id",
         "fingerprint",
         "staging_fp",
-        "slots",
         "wire",
         "priority",
         "seq",
@@ -73,10 +72,6 @@ class Job:
             fingerprint if fingerprint is not None else wire.fingerprint()
         )
         self.staging_fp = wire.staging_fingerprint()
-        #: Scheduler slots this job occupies on its worker: a sharded
-        #: request (``config.shard_workers >= 2``) fans out inside the
-        #: worker, so it claims that many slots of the worker's depth.
-        self.slots = max(1, getattr(wire.config, "shard_workers", 1))
         self.wire = wire
         self.priority = priority
         self.seq = seq

@@ -140,7 +140,6 @@ class WireRequest:
                 "use_guide_table": self.config.use_guide_table,
                 "check_uniqueness": self.config.check_uniqueness,
                 "max_generated": self.config.max_generated,
-                "shard_workers": self.config.shard_workers,
                 "trace": self.config.trace,
             },
         }
@@ -152,7 +151,8 @@ class WireRequest:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "WireRequest":
-        """Inverse of :meth:`to_json_dict` (tolerates omitted fields)."""
+        """Inverse of :meth:`to_json_dict` (tolerates omitted fields, and
+        ignores unknown ones so payloads of older clients still parse)."""
         spec = Spec.from_dict(data["spec"])
         cost_values = data.get("cost_fn")
         config_data = dict(data.get("config") or {})
@@ -173,7 +173,6 @@ class WireRequest:
                 use_guide_table=config_data.get("use_guide_table", True),
                 check_uniqueness=config_data.get("check_uniqueness", True),
                 max_generated=config_data.get("max_generated"),
-                shard_workers=int(config_data.get("shard_workers") or 1),
                 trace=bool(config_data.get("trace", False)),
             ),
             trace_ctx=TraceContext.from_json_dict(data.get("trace_ctx")),
@@ -187,20 +186,16 @@ class WireRequest:
         bit-identical answers, so the queue collapses them in flight and
         the result store answers repeats across restarts.  Pure
         *execution* knobs are excluded for exactly that reason:
-        ``shard_workers`` changes how fast the answer arrives, never the
-        answer (the sharded engine is bit-identical by construction), so
-        submissions differing only in fan-out share one fingerprint —
-        and pre-sharding stores keep answering their old requests.
-        ``trace``/``trace_ctx`` are excluded on the same grounds: a
-        traced run answers bit-identically, so it must dedupe against
-        (and be answered by) untraced runs of the same question.
+        ``trace``/``trace_ctx`` never change the answer, so a traced run
+        must dedupe against (and be answered by) untraced runs of the
+        same question.
         """
         payload = self.to_json_dict()
         payload.pop("trace_ctx", None)
         payload["config"] = {
             key: value
             for key, value in payload["config"].items()
-            if key not in ("shard_workers", "trace")
+            if key != "trace"
         }
         return _sha256_of(payload)
 

@@ -156,8 +156,13 @@ def generate_suite(
         le = rng.randint(*params.le_range)
         n_pos = rng.randint(*params.p_range)
         n_neg = rng.randint(*params.n_range)
-        # Clamp counts to the number of available distinct strings so any
-        # parameter ranges are safe (relevant only for tiny ``le``).
+        # A spec needs one positive and one negative, so two distinct
+        # strings: ``le = 0`` (only ε) is raised to the smallest length
+        # bound that has them (no extra RNG draw — every other suite is
+        # unchanged).  Then clamp counts to the number of available
+        # distinct strings so any parameter ranges are safe.
+        while _count_strings(len(params.alphabet), le) < 2:
+            le += 1
         capacity = _count_strings(len(params.alphabet), le)
         while n_pos + n_neg > capacity:
             n_pos = max(1, n_pos - 1)

@@ -5,7 +5,7 @@ Production code marks its crash-interesting seams with
 armed.  Tests (and the CI recovery-smoke job) arm faults either
 programmatically with :func:`inject` or through the ``REPRO_FAULTS``
 environment variable, which child processes inherit — that is how a
-*pool worker* or a *shard worker* is made to die at a precise point
+*pool worker* is made to die at a precise point
 while the parent test process keeps running.
 
 Spec grammar (comma-separated entries)::
@@ -40,7 +40,6 @@ Injection points wired into the codebase:
 ``pool.worker.after_job``       result computed, not yet reported
 ``pool.worker.preempt``         preempted result computed, not yet
                                 reported back to the parent
-``shard.worker.emit``           shard worker about to run an emit round
 ==============================  =========================================
 """
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import InvalidSpecError
 from repro.suites.generator import (
     PAPER_TYPE1_PARAMS,
+    PAPER_TYPE2_PARAMS,
     SCALED_TYPE1_PARAMS,
     SCALED_TYPE2_PARAMS,
     _count_strings,
@@ -112,6 +113,24 @@ class TestSuite:
     def test_invalid_type(self):
         with pytest.raises(ValueError):
             generate_suite(3, 1)
+
+    @pytest.mark.parametrize(
+        "benchmark_type, params, zero_le_positions",
+        [(1, PAPER_TYPE1_PARAMS, (17, 18)), (2, PAPER_TYPE2_PARAMS, (12, 13, 19))],
+    )
+    def test_zero_length_bound_draws_terminate(
+        self, benchmark_type, params, zero_le_positions
+    ):
+        # ``le = 0`` leaves only ε, too few strings for a positive and a
+        # negative; such draws (at the given positions of base seed 0)
+        # are raised to the smallest bound with two strings.
+        suite = generate_suite(benchmark_type, 20, params, base_seed=0)
+        assert len(suite) == 20
+        for bench in suite:
+            assert bench.spec.positive and bench.spec.negative
+        assert [suite[i].le for i in zero_le_positions] == [1] * len(
+            zero_le_positions
+        )
 
     def test_paper_params_exist(self):
         assert PAPER_TYPE1_PARAMS.le_range == (0, 7)

@@ -225,55 +225,14 @@ def test_property_fingerprint_set_matches_python_set(keys):
         assert key in hash_set
 
 
-class TestContainsBatch:
-    """The shard workers' read-only membership probe."""
-
-    def test_never_mutates(self):
-        rng = np.random.RandomState(11)
-        stored = rng.randint(0, 1 << 16, size=(400, 2)).astype(np.uint64)
-        probes = rng.randint(0, 1 << 16, size=(300, 2)).astype(np.uint64)
-        key_set = PackedKeySet(2, initial_capacity=4)
-        key_set.insert_batch(stored)
-        size_before = len(key_set)
-        present = key_set.contains_batch(probes)
-        assert len(key_set) == size_before
-        model = {tuple(int(v) for v in row) for row in stored}
-        for row, flag in zip(probes, present):
-            assert bool(flag) == (tuple(int(v) for v in row) in model)
-
-    def test_within_batch_duplicates_stay_absent(self):
-        key_set = PackedKeySet(1)
-        rows = np.array([[7], [7], [7]], dtype=np.uint64)
-        assert not key_set.contains_batch(rows).any()
-
-    def test_empty_set_and_empty_batch(self):
-        key_set = PackedKeySet(2)
-        rows = np.zeros((0, 2), dtype=np.uint64)
-        assert key_set.contains_batch(rows).shape == (0,)
-        probe = np.arange(8, dtype=np.uint64).reshape(4, 2)
-        assert not key_set.contains_batch(probe).any()
-
-    def test_engineered_fingerprint_collisions(self):
-        # Two lanes whose mixed fingerprints collide must still compare
-        # as distinct full keys in tier 2.
-        key_set = PackedKeySet(2, initial_capacity=4)
-        mix = int(_LANE_MIX[0])
-        base = np.array([[5, 9]], dtype=np.uint64)
-        twin_first = (5 ^ (9 * mix) ^ (11 * mix)) & ((1 << 64) - 1)
-        twin = np.array([[twin_first, 11]], dtype=np.uint64)
-        key_set.insert_batch(base)
-        assert key_set.contains_batch(base).all()
-        assert not key_set.contains_batch(twin).any()
-
-    def test_wrong_shape_rejected(self):
-        key_set = PackedKeySet(3)
-        with pytest.raises(ValueError):
-            key_set.contains_batch(np.zeros((4, 2), dtype=np.uint64))
+def stored_keys(key_set):
+    """The set's keys as a Python set of row tuples."""
+    return {tuple(int(v) for v in row) for row in key_set.keys()}
 
 
 class TestInsertNovelBatch:
-    """Bulk adoption of pre-filtered novel keys (the shard workers'
-    confirmed-set sync path)."""
+    """Bulk adoption of pre-filtered novel keys (the checkpoint-restore
+    path)."""
 
     def test_equivalent_to_insert_batch(self):
         rng = np.random.RandomState(5)
@@ -293,21 +252,22 @@ class TestInsertNovelBatch:
         assert np.array_equal(
             np.sort(bulk.keys(), axis=0), np.sort(reference.keys(), axis=0)
         )
-        probes = np.concatenate(
-            [rows, rng.randint(1 << 21, 1 << 22, size=(50, 2)).astype(np.uint64)]
-        )
-        assert np.array_equal(
-            bulk.contains_batch(probes), reference.contains_batch(probes)
-        )
-        # The adopted keys also dedupe exactly through insert_batch.
+        bulk_keys = stored_keys(bulk)
+        for row in rows:
+            assert tuple(int(v) for v in row) in bulk_keys
+        # The adopted keys dedupe exactly through insert_batch, and
+        # fresh keys still register as novel.
         assert not bulk.insert_batch(rows[:100]).any()
+        fresh = rng.randint(1 << 21, 1 << 22, size=(50, 2)).astype(np.uint64)
+        assert (bulk.insert_batch(fresh) == reference.insert_batch(fresh)).all()
 
     def test_triggers_growth(self):
         rows = np.arange(4096, dtype=np.uint64).reshape(-1, 1)
         key_set = PackedKeySet(1, initial_capacity=4)
         key_set.insert_novel_batch(rows)
         assert len(key_set) == 4096
-        assert key_set.contains_batch(rows).all()
+        assert stored_keys(key_set) == {(v,) for v in range(4096)}
+        assert not key_set.insert_batch(rows).any()
         assert key_set.capacity >= 4096 / 0.6
 
     def test_empty_and_wrong_shape(self):

@@ -1,8 +1,9 @@
 """Kernel-equivalence property tests.
 
 The vectorised engine's array-level kernels (flat-gather concat, masked
-star, batched dedupe) must agree bit-for-bit with the scalar oracles
-``concat_cs`` / ``star_cs`` / Python's ``set`` on arbitrary CS batches —
+star, batched dedupe, batched solution check) must agree bit-for-bit
+with the scalar oracles ``concat_cs`` / ``star_cs`` / Python's ``set`` /
+``cs_solves`` on arbitrary CS batches —
 including multi-lane universes, where the packed representation spans
 several uint64 words per row.  See ``docs/ARCHITECTURE.md`` for the
 kernel design these tests pin down.
@@ -23,8 +24,9 @@ from repro.core.bitops import (
     star_cs,
     unbitslice_rows,
 )
+from repro.core.engine import cs_solves
 from repro.core.hashset import PackedKeySet, splitmix64, splitmix64_array
-from repro.core.vector_engine import _Kernels
+from repro.core.vector_engine import LaneMatcher, _Kernels
 from repro.language.guide_table import GuideTable
 from repro.language.universe import Universe
 
@@ -293,3 +295,34 @@ def test_concat_oracle_on_random_universes(base):
     )
     for k in range(n):
         assert lanes_to_int(out[k]) == concat_cs(lefts[k], rights[k], guide)
+
+
+class TestLaneMatcher:
+    """The vector engine's batched solution check agrees with the
+    scalar predicate ``cs_solves``."""
+
+    def test_matches_scalar_predicate(self):
+        rng = np.random.RandomState(3)
+        lanes = 3
+        pos = int_to_lanes(rng.randint(0, 1 << 30), lanes)
+        neg = int_to_lanes(rng.randint(0, 1 << 30) << 60, lanes)
+        pos_int = lanes_to_int(pos)
+        neg_int = lanes_to_int(neg) & ~pos_int
+        neg = int_to_lanes(neg_int, lanes)
+        cs_ints = [int(x) for x in rng.randint(0, 1 << 62, size=64)]
+        rows = ints_to_matrix(cs_ints, lanes)
+        for max_errors in (0, 1, 3):
+            matcher = LaneMatcher(pos, neg, max_errors)
+            flags = matcher.flags(rows)
+            for cs, flag in zip(cs_ints, flags):
+                assert bool(flag) == cs_solves(cs, pos_int, neg_int, max_errors)
+
+    def test_all_zero_masks_accept_everything(self):
+        lanes = 2
+        matcher = LaneMatcher(
+            np.zeros(lanes, dtype=np.uint64),
+            np.zeros(lanes, dtype=np.uint64),
+            0,
+        )
+        rows = ints_to_matrix([0, 5, 1 << 100], lanes)
+        assert matcher.flags(rows).all()

@@ -101,13 +101,6 @@ class TestTracer:
         assert [s["name"] for s in spans] == ["s1", "s2"]
         assert tracer.dropped == 1
 
-    def test_adopt_passes_wire_spans_through(self):
-        tracer = Tracer("cafe")
-        foreign = span_dict("shard", "cafe", "aa", None, 1.0, 2.0,
-                            process="shard-0")
-        tracer.adopt([foreign])
-        assert tracer.snapshot() == [foreign]
-
 
 class TestTraceContext:
     def test_mint_child_round_trip(self):

@@ -512,44 +512,3 @@ class TestPoolRecoverySmoke:
         assert record["fingerprint"] == records[0].stem
         assert "died" in record["error"]
         assert record["request"]["spec"]["positive"] == list(SPEC.positive)
-
-
-# ----------------------------------------------------------------------
-# Shard-coordinator failover
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dead_shard_worker_falls_back_to_serial(backend, tmp_path, monkeypatch):
-    from repro.language.guide_table import GuideTable
-    from repro.language.universe import Universe
-    from repro.core.scalar_engine import ScalarEngine
-    from repro.core.vector_engine import VectorEngine
-
-    engines = {"scalar": ScalarEngine, "vector": VectorEngine}
-    universe = Universe(SPEC.all_words, alphabet=SPEC.alphabet)
-    guide = GuideTable(universe)
-
-    def run(shard_workers, armed):
-        if armed:
-            # Armed pre-fork: the forked shard workers inherit the
-            # fault table and die at their first emit round; the parent
-            # never visits the point.
-            inject("shard.worker.emit", "kill")
-        engine = engines[backend](
-            SPEC, CostFunction.uniform(), universe, guide,
-            shard_workers=shard_workers,
-        )
-        engine.shard_min_candidates = 0
-        status = engine.run(40)
-        faults.reset()
-        return engine, status
-
-    serial, serial_status = run(1, armed=False)
-    sharded, sharded_status = run(3, armed=True)
-    assert sharded.shard_failovers >= 1
-    assert sharded.shard_workers == 1  # sharding disabled after failover
-    assert sharded_status == serial_status
-    assert sharded.generated == serial.generated
-    assert sharded.levels_built == serial.levels_built
-    assert sharded.level_stats == serial.level_stats
-    assert sharded.solution == serial.solution
-    assert sharded.solution_cost == serial.solution_cost

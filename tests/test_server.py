@@ -7,7 +7,9 @@ backends.  The scheduler classes are tested pure (no sockets, no worker
 processes); the HTTP tests share one running server per module.
 """
 
+import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -27,7 +29,6 @@ from repro.server import (
     ServerError,
     SynthesisServer,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
     estimate_cost,
 )
@@ -66,7 +67,7 @@ def slow_wire(**kwargs):
     )
 
 
-def fake_result(elapsed=0.1, widths=(), generated=100, status="success"):
+def fake_result(elapsed=0.1, generated=100, status="success"):
     return SynthesisResult(
         status=status,
         spec=INTRO_SPEC,
@@ -76,12 +77,6 @@ def fake_result(elapsed=0.1, widths=(), generated=100, status="success"):
         max_cost=40,
         generated=generated,
         elapsed_seconds=elapsed,
-        extra={
-            "level_stats": [
-                {"cost": i + 1, "generated": w, "stored": w, "otf": 0}
-                for i, w in enumerate(widths)
-            ]
-        },
     )
 
 
@@ -124,43 +119,14 @@ class TestEstimateAndClassify:
         assert classify(tiny, slow_history) == CLASS_BATCH
 
 
-class TestChooseShardWorkers:
-    def test_explicit_fanout_is_respected(self):
-        wire = WireRequest(
-            spec=INTRO_SPEC,
-            config=EngineConfig(backend="vector", shard_workers=3),
-        )
-        assert choose_shard_workers(wire, WorkloadHistory(), 8) == 3
-
-    def test_unseen_fingerprint_stays_serial(self):
-        assert choose_shard_workers(wire_of(INTRO_SPEC), WorkloadHistory(), 8) == 1
-        assert choose_shard_workers(wire_of(INTRO_SPEC), None, 8) == 1
-
-    def test_narrow_history_stays_serial(self):
-        wire = wire_of(INTRO_SPEC)
-        history = WorkloadHistory()
-        history.record(wire.staging_fingerprint(), fake_result(widths=(10, 50)))
-        assert choose_shard_workers(wire, history, 8) == 1
-
-    def test_wide_history_fans_out_bounded_by_machine(self):
-        wire = wire_of(INTRO_SPEC)
-        history = WorkloadHistory()
-        history.record(
-            wire.staging_fingerprint(), fake_result(widths=(100, 5_000_000))
-        )
-        assert choose_shard_workers(wire, history, cpu_count=8) == 4
-        assert choose_shard_workers(wire, history, cpu_count=2) == 2
-        assert choose_shard_workers(wire, history, cpu_count=1) == 1
-
-
 class TestWorkloadHistory:
-    def test_record_folds_running_average_and_width(self):
+    def test_record_folds_running_average_and_generated(self):
         history = WorkloadHistory()
-        profile = history.record("fp", fake_result(elapsed=1.0, widths=(5,)))
-        profile = history.record("fp", fake_result(elapsed=3.0, widths=(9,)))
+        profile = history.record("fp", fake_result(elapsed=1.0, generated=5))
+        profile = history.record("fp", fake_result(elapsed=3.0, generated=9))
         assert profile.runs == 2
         assert profile.avg_elapsed_s == pytest.approx(2.0)
-        assert profile.max_level_width == 9
+        assert profile.last_generated == 9
 
     def test_lru_bound(self):
         history = WorkloadHistory(max_entries=2)
@@ -173,13 +139,13 @@ class TestWorkloadHistory:
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "history.json"
         history = WorkloadHistory(path=path)
-        history.record("fp", fake_result(elapsed=2.0, widths=(7,)))
+        history.record("fp", fake_result(elapsed=2.0, generated=7))
         history.save()
         reloaded = WorkloadHistory(path=path)
         profile = reloaded.profile("fp")
         assert profile is not None
         assert profile.avg_elapsed_s == pytest.approx(2.0)
-        assert profile.max_level_width == 7
+        assert profile.last_generated == 7
 
     def test_corrupt_file_is_an_empty_history(self, tmp_path):
         path = tmp_path / "history.json"
@@ -492,3 +458,43 @@ class TestServerMaintenance:
         assert not again.get("deduplicated")
         client.cancel(again["job_id"])
         client.result(again["job_id"], timeout=120)
+
+
+# ----------------------------------------------------------------------
+# Shutdown
+# ----------------------------------------------------------------------
+class TestShutdown:
+    """stop() cancels every connection task; each must end quietly, not
+    log an unhandled CancelledError traceback."""
+
+    @pytest.mark.parametrize("open_connection", ["idle_keepalive", "event_stream"])
+    def test_stop_with_open_connection_is_quiet(
+        self, open_connection, tmp_path, capfd, caplog
+    ):
+        running = SynthesisServer(
+            store_dir=str(tmp_path / "store"),
+            interactive_workers=1,
+            batch_workers=1,
+        ).start()
+        conn = http.client.HTTPConnection(running.host, running.port, timeout=30)
+        try:
+            if open_connection == "idle_keepalive":
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            else:
+                with HttpServiceClient(running.address) as submitter:
+                    job = submitter.submit(slow_wire())
+                conn.request("GET", "/jobs/%s/events" % job["job_id"])
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.fp.readline()  # first chunk is live
+            capfd.readouterr()
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                running.stop()
+        finally:
+            conn.close()
+            running.stop()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        assert capfd.readouterr().err == ""

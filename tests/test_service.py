@@ -6,6 +6,7 @@ The headline acceptance criterion lives in
 bit-identical to solo ``Session.synthesize`` on both backends.
 """
 
+import json
 import pickle
 import time
 
@@ -44,6 +45,12 @@ WORDS = ("", "0", "1", "00", "10", "100", "1000", "1001", "101",
 INTRO_SPEC = Spec(
     positive=["10", "101", "100", "1010", "1011", "1000", "1001"],
     negative=["", "0", "1", "00", "11", "010"],
+)
+
+#: ``WireRequest(spec=INTRO_SPEC).fingerprint()`` — the content address
+#: existing result stores and checkpoint journals were written under.
+PINNED_INTRO_FP = (
+    "855f7eac0b9e79a09225d044d27d17b4851f5fd819318b94568a37761172aded"
 )
 
 #: A deliberately long-running workload for the cancellation/robustness
@@ -128,25 +135,25 @@ class TestWire:
             max_cost=20,
             allowed_error=0.2,
             max_generated=1000,
-            config=EngineConfig(
-                backend="scalar", max_cache_size=500, shard_workers=3
-            ),
+            config=EngineConfig(backend="scalar", max_cache_size=500),
         )
         again = WireRequest.from_json_dict(wire.to_json_dict())
         assert again == wire
-        assert again.config.shard_workers == 3
         assert again.fingerprint() == wire.fingerprint()
 
-    def test_shard_workers_is_not_part_of_the_fingerprint(self):
-        # Sharding is an execution knob with bit-identical answers, so
-        # submissions differing only in fan-out must dedupe onto one
-        # job/result — and stores written before the knob existed must
-        # keep answering their requests.
-        serial = WireRequest(spec=INTRO_SPEC)
-        sharded = WireRequest(spec=INTRO_SPEC,
-                              config=EngineConfig(shard_workers=4))
-        assert serial.fingerprint() == sharded.fingerprint()
-        assert sharded.to_json_dict()["config"]["shard_workers"] == 4
+    def test_fingerprint_is_pinned(self):
+        # Result stores and checkpoint journals are keyed by this
+        # address: a change here orphans every stored answer.
+        assert WireRequest(spec=INTRO_SPEC).fingerprint() == PINNED_INTRO_FP
+
+    def test_legacy_shard_workers_field_keeps_the_fingerprint(self):
+        # Older clients and stored job documents still carry the removed
+        # ``shard_workers`` execution knob; it must parse and address
+        # the same question.
+        payload = WireRequest(spec=INTRO_SPEC).to_json_dict()
+        payload["config"]["shard_workers"] = 4
+        legacy = WireRequest.from_json_dict(json.loads(json.dumps(payload)))
+        assert legacy.fingerprint() == PINNED_INTRO_FP
 
     def test_hooks_are_dropped_on_the_wire(self):
         request = SynthesisRequest(
@@ -286,9 +293,8 @@ class TestJobQueue:
 # The affinity scheduler (pure planning, deterministic)
 # ----------------------------------------------------------------------
 class _FakeJob:
-    def __init__(self, staging_fp, slots=1):
+    def __init__(self, staging_fp):
         self.staging_fp = staging_fp
-        self.slots = slots
 
 
 class TestAffinityScheduling:
@@ -331,45 +337,6 @@ class TestAffinityScheduling:
         plan = WorkerPool.plan_assignments(
             jobs, worker_loads=[0, 0], worker_warm=[[], []], depth=2)
         assert plan == [(0, 0, "cold"), (1, 0, "affinity")]
-
-    def test_sharded_job_claims_its_shard_slots(self):
-        # A shard_workers=2 job occupies 2 of the worker's depth-2
-        # slots, so the following single-slot job must go elsewhere.
-        jobs = [_FakeJob("u1", slots=2), _FakeJob("u1")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[0, 0], worker_warm=[["u1"], []], depth=2)
-        assert plan == [(0, 0, "affinity"), (1, 1, "steal")]
-
-    def test_wide_job_waits_for_an_idle_worker(self):
-        # A job wider than the depth is only admitted onto an idle
-        # worker; while it waits it parks the least-loaded worker
-        # (worker 0 here), so the narrow job behind it backfills the
-        # *other* worker and the parked one drains toward idle.
-        jobs = [_FakeJob("u1", slots=5), _FakeJob("u2")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[1, 1], worker_warm=[[], []], depth=2)
-        assert plan == [(1, 1, "cold")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[0, 1], worker_warm=[[], []], depth=2)
-        assert plan == [(0, 0, "cold"), (1, 1, "cold")]
-
-    def test_parked_wide_job_cannot_be_starved_by_backfill(self):
-        # Regression: sustained narrow traffic must not starve a wide
-        # head-of-line job.  The wide job parks worker 0; narrow jobs
-        # may only backfill worker 1, so worker 0's load can only
-        # drain — simulate the drain and the wide job places.
-        wide = _FakeJob("u1", slots=2)
-        narrow = [_FakeJob("u2"), _FakeJob("u3"), _FakeJob("u4")]
-        plan = WorkerPool.plan_assignments(
-            [wide] + narrow, worker_loads=[1, 1],
-            worker_warm=[[], []], depth=2)
-        # Worker 0 is parked: only one narrow job fits (worker 1).
-        assert plan == [(1, 1, "cold")]
-        # Worker 0's job completes -> idle -> the wide job runs first.
-        plan = WorkerPool.plan_assignments(
-            [wide] + narrow, worker_loads=[0, 2],
-            worker_warm=[[], []], depth=2)
-        assert plan[0] == (0, 0, "cold")
 
 
 # ----------------------------------------------------------------------

@@ -142,7 +142,6 @@ class TestCiContract:
         assert uploaded == {
             "BENCH_kernels.json",
             "BENCH_session.json",
-            "BENCH_shard.json",
         }
 
 
@@ -163,9 +162,9 @@ class TestNightlyContract:
             if env.get("REPRO_BENCH_SCALE") == "full":
                 full_scale_targets.add(str(step["run"]))
         joined = " && ".join(full_scale_targets)
-        for suite in ("bench_kernels", "bench_session", "bench_shard",
-                      "bench_service", "bench_recovery", "bench_load",
-                      "bench_obs", "bench_preempt"):
+        for suite in ("bench_kernels", "bench_session", "bench_service",
+                      "bench_recovery", "bench_load", "bench_obs",
+                      "bench_preempt"):
             assert suite in joined, "nightly misses %s" % suite
         runs = " && ".join(str(s.get("run", "")) for s in steps)
         assert "check_perf_ceilings" in runs
